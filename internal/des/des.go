@@ -15,11 +15,9 @@ package des
 import (
 	"context"
 	"errors"
-	"math"
 	"math/rand"
 
 	"greednet/internal/randdist"
-	"greednet/internal/stats"
 )
 
 // Packet is one queued job.
@@ -97,14 +95,6 @@ type Result struct {
 // ErrBadConfig reports an unusable configuration.
 var ErrBadConfig = errors.New("des: bad config")
 
-// validSpan reports whether a Horizon/Warmup value is usable: NaN and
-// ±Inf would silently poison every time average (yielding all-NaN
-// statistics with a nil error), so they are rejected up front; negative
-// and zero values remain "use the default".
-func validSpan(x float64) bool {
-	return !math.IsNaN(x) && !math.IsInf(x, 0)
-}
-
 // Run simulates the switch and returns the measured statistics.
 func Run(cfg Config) (Result, error) {
 	return RunCtx(context.Background(), cfg)
@@ -115,50 +105,18 @@ func Run(cfg Config) (Result, error) {
 // core.ErrCanceled / core.ErrDeadline: partial time averages from a
 // truncated horizon are not unbiased estimates, so none are reported.
 func RunCtx(ctx context.Context, cfg Config) (Result, error) {
-	n := len(cfg.Rates)
-	if n == 0 || cfg.Discipline == nil {
+	if cfg.Discipline == nil {
 		return Result{}, ErrBadConfig
 	}
-	total := 0.0
-	for _, r := range cfg.Rates {
-		if r <= 0 || math.IsNaN(r) {
-			return Result{}, ErrBadConfig
-		}
-		total += r
+	st, err := newStation(cfg.Rates, cfg.Horizon, cfg.Warmup, cfg.Batches)
+	if err != nil {
+		return Result{}, err
 	}
-	if total >= 1 {
-		return Result{}, ErrBadConfig
-	}
-	if !validSpan(cfg.Horizon) || !validSpan(cfg.Warmup) {
-		return Result{}, ErrBadConfig
-	}
-	if cfg.Horizon <= 0 {
-		cfg.Horizon = 2e5
-	}
-	if cfg.Warmup <= 0 {
-		cfg.Warmup = 0.05 * cfg.Horizon
-	}
-	if cfg.Batches <= 0 {
-		cfg.Batches = 20
-	}
-
 	rng := randdist.NewRand(cfg.Seed)
 	d := cfg.Discipline
 	d.Reset(cfg.Rates, rng)
-
-	end := cfg.Warmup + cfg.Horizon
-	batchLen := cfg.Horizon / float64(cfg.Batches)
-
-	lq := newLazyQueues(n, cfg.Batches, cfg.Warmup, end, batchLen)
-	var totalAvg stats.TimeAverage
+	a := newTally(len(cfg.Rates), st.window)
 	cum := cumRates(cfg.Rates) // prefix sums for O(log N) source picks
-	delaySum := make([]float64, n)
-	departed := make([]int64, n)
-	var res Result
-	res.AvgQueue = make([]float64, n)
-	res.QueueCI95 = make([]float64, n)
-	res.AvgDelay = make([]float64, n)
-	res.Throughput = make([]float64, n)
 
 	// Each iteration consumes exactly one (ExpFloat64, Float64) pair: the
 	// holding time and the event pick.  A stream-free discipline never
@@ -171,83 +129,36 @@ func RunCtx(ctx context.Context, cfg Config) (Result, error) {
 	pb.Init(rng, randdist.BlockSize(streamFree(d)))
 
 	t := 0.0
-	inSystem := 0
 	gate := ctxGate{ctx: ctx}
-	for t < end {
+	for t < st.end {
 		if err := gate.Err(); err != nil {
 			return Result{}, err
 		}
-		rate := total
-		if inSystem > 0 {
+		rate := st.total
+		if a.inSystem > 0 {
 			rate += 1
 		}
 		e, uu := pb.Pair()
-		dt := e / rate
-		// Split the elapsed interval across warmup/measurement boundary.
-		// Only the O(1) total-queue average advances per event; the per-user
-		// integrals advance lazily at count changes (lq.bump below).
-		tNext := t + dt
-		if tNext > cfg.Warmup {
-			lo := math.Max(t, cfg.Warmup)
-			hi := math.Min(tNext, end)
-			if hi > lo {
-				totalAvg.Accumulate(float64(inSystem), hi-lo)
-			}
-		}
+		tNext := t + e/rate
+		a.hold(t, tNext)
 		t = tNext
-		if t >= end {
+		if t >= st.end {
 			break
 		}
 		// Choose the event type.
 		u := uu * rate
-		if u < total {
+		if u < st.total {
 			// Arrival: pick the source by binary search on the rate prefix
 			// sums (the same source the linear scan chose for this draw).
 			i := pickSource(cum, u)
 			d.Enqueue(Packet{User: i, Arrive: t})
-			lq.bump(i, t, 1)
-			inSystem++
-			if t >= cfg.Warmup {
-				res.Arrivals++
-			}
-		} else if inSystem > 0 {
+			a.arrive(i, t)
+		} else if a.inSystem > 0 {
 			p := d.Dequeue()
-			lq.bump(p.User, t, -1)
-			inSystem--
-			if t >= cfg.Warmup {
-				res.Departures++
-				departed[p.User]++
-				delaySum[p.User] += t - p.Arrive
-				if cfg.OnDeparture != nil {
-					cfg.OnDeparture(p, t)
-				}
+			if a.depart(p.User, t, p.Arrive) && cfg.OnDeparture != nil {
+				cfg.OnDeparture(p, t)
 			}
 		}
 	}
-	lq.finish()
-
-	res.Duration = cfg.Horizon
-	//lint:allow ctxflow O(n) post-run stats assembly over per-source accumulators; the event loop above already honored the deadline
-	for i := 0; i < n; i++ {
-		res.AvgQueue[i] = lq.avgQueue(i)
-		res.QueueCI95[i] = batchCI(lq.batchRow(i), batchLen)
-		if departed[i] > 0 {
-			res.AvgDelay[i] = delaySum[i] / float64(departed[i])
-		} else {
-			res.AvgDelay[i] = math.NaN()
-		}
-		res.Throughput[i] = float64(departed[i]) / cfg.Horizon
-	}
-	res.TotalAvgQueue = totalAvg.Value()
-	return res, nil
-}
-
-// batchCI converts per-batch queue integrals into a 95% half-width for the
-// run-level time average.
-func batchCI(integrals []float64, batchLen float64) float64 {
-	means := make([]float64, len(integrals))
-	for i, v := range integrals {
-		means[i] = v / batchLen
-	}
-	return stats.CI95(means)
+	return a.result(), nil
 }

@@ -1,9 +1,6 @@
 package des
 
-import (
-	"math/rand"
-	"sort"
-)
+import "math/rand"
 
 // mustNonEmpty enforces the Discipline.Dequeue contract: Dequeue is called
 // only when Len() > 0, so an empty structure here is an internal invariant
@@ -301,17 +298,8 @@ func (r *RatePriority) Name() string { return "rate-priority" }
 
 // Reset implements Discipline.
 func (r *RatePriority) Reset(rates []float64, rng *rand.Rand) {
-	n := len(rates)
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return rates[idx[a]] < rates[idx[b]] })
-	r.class = make([]int, n)
-	for rank, u := range idx {
-		r.class[u] = rank
-	}
-	r.sp.NumClasses = n
+	r.class = rateRanks(rates)
+	r.sp.NumClasses = len(rates)
 	r.sp.Classify = func(p *Packet) { p.Class = r.class[p.User] }
 	r.sp.Reset(rates, rng)
 }
@@ -330,13 +318,12 @@ func (r *RatePriority) Len() int { return r.sp.Len() }
 // a Poisson substream of rate r_(m) − r_(m−1); classes are served with
 // strict preemptive priority (class 1 highest).  Splitting a user's Poisson
 // stream by i.i.d. class sampling with probabilities proportional to the
-// increments realizes exactly those substreams, and the resulting per-user
-// mean queues equal the Fair Share allocation C^FS.
+// increments realizes exactly those substreams (the SerialClass thinner),
+// and the resulting per-user mean queues equal the Fair Share allocation
+// C^FS.
 type FairShareSplitter struct {
-	sp   StrictPriority
-	cdf  [][]float64 // per user: cumulative class probabilities
-	rng  *rand.Rand
-	rank []int
+	sp  StrictPriority
+	cls SerialClass
 }
 
 // Name implements Discipline.
@@ -344,51 +331,15 @@ func (f *FairShareSplitter) Name() string { return "fair-share-splitter" }
 
 // Reset implements Discipline.
 func (f *FairShareSplitter) Reset(rates []float64, rng *rand.Rand) {
-	n := len(rates)
-	f.rng = rng
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return rates[idx[a]] < rates[idx[b]] })
-	sorted := make([]float64, n)
-	for rank, u := range idx {
-		sorted[rank] = rates[u]
-	}
-	f.rank = make([]int, n)
-	for rank, u := range idx {
-		f.rank[u] = rank
-	}
-	// User with rank k (0-based) sends into classes m = 0..k with
-	// probability (sorted[m] − sorted[m−1]) / sorted[k].
-	f.cdf = make([][]float64, n)
-	for u := 0; u < n; u++ {
-		k := f.rank[u]
-		cdf := make([]float64, k+1)
-		prev := 0.0
-		acc := 0.0
-		for m := 0; m <= k; m++ {
-			acc += sorted[m] - prev
-			prev = sorted[m]
-			cdf[m] = acc / sorted[k]
-		}
-		cdf[k] = 1 // guard against rounding
-		f.cdf[u] = cdf
-	}
-	f.sp.NumClasses = n
+	f.cls.Reset(rates, rng)
+	f.sp.NumClasses = len(rates)
 	f.sp.Classify = nil
 	f.sp.Reset(rates, rng)
 }
 
 // Enqueue implements Discipline.
 func (f *FairShareSplitter) Enqueue(p Packet) {
-	cdf := f.cdf[p.User]
-	x := f.rng.Float64()
-	cls := sort.SearchFloat64s(cdf, x)
-	if cls >= len(cdf) {
-		cls = len(cdf) - 1
-	}
-	p.Class = cls
+	p.Class = f.cls.Classify(p.User)
 	f.sp.Enqueue(p)
 }
 

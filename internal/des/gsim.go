@@ -2,13 +2,11 @@ package des
 
 import (
 	"context"
-	"math"
 	"math/rand"
 	"sort"
 
 	"greednet/internal/des/calq"
 	"greednet/internal/randdist"
-	"greednet/internal/stats"
 )
 
 // The general-service engine: Poisson arrivals, arbitrary unit-mean
@@ -19,10 +17,12 @@ import (
 // Unlike the memoryless engine in des.go, service completions must be
 // scheduled explicitly and preempted work tracked.
 //
-// Event management runs on the calendar queue in internal/des/calq (O(1)
-// amortized per event, no boxing); the frozen container/heap engine it
-// replaced survives in heapref.go as the differential baseline.  Variates
-// come through internal/randdist batches whose block size is 1 unless the
+// The event loop is runCalendar (station.go), shared with the scheduling
+// engine in sched.go; classQueues below is its priority queue.  Events
+// run on the calendar queue in internal/des/calq (O(1) amortized per
+// event, no boxing); the frozen container/heap engine it replaced
+// survives in heapref.go as the differential baseline.  Variates come
+// through internal/randdist batches whose block size is 1 unless the
 // run's draw order is provably pure (see seedArrivals and streamfree.go),
 // so every seeded stream is byte-identical to the historical engine.
 
@@ -64,18 +64,7 @@ type RankClass struct {
 func (rc *RankClass) Name() string { return "rate-priority" }
 
 // Reset implements Classifier.
-func (rc *RankClass) Reset(rates []float64, rng *rand.Rand) {
-	n := len(rates)
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return rates[idx[a]] < rates[idx[b]] })
-	rc.rank = make([]int, n)
-	for rank, u := range idx {
-		rc.rank[u] = rank
-	}
-}
+func (rc *RankClass) Reset(rates []float64, rng *rand.Rand) { rc.rank = rateRanks(rates) }
 
 // Classify implements Classifier.
 func (rc *RankClass) Classify(user int) int { return rc.rank[user] }
@@ -83,14 +72,36 @@ func (rc *RankClass) Classify(user int) int { return rc.rank[user] }
 // NumClasses implements Classifier.
 func (rc *RankClass) NumClasses() int { return len(rc.rank) }
 
+// rateRanks returns each user's rank in the stable ascending rate order.
+func rateRanks(rates []float64) []int {
+	idx := make([]int, len(rates))
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.SliceStable(idx, func(a, b int) bool { return rates[idx[a]] < rates[idx[b]] })
+	rank := make([]int, len(rates))
+	for k, u := range idx {
+		rank[u] = k
+	}
+	return rank
+}
+
 // SerialClass is the Table-1 thinning classifier: the rank-k user's
 // packets are spread over classes 0..k with probabilities proportional to
 // the sorted-rate increments, realizing the serial (Fair Share) allocation
-// for any service distribution.
+// for any service distribution.  FairShareSplitter classifies through it
+// too.
+//
+// The rank-k user's class CDF has entries acc[m]/sorted[k] for m < k and
+// 1 at m = k, where acc[m] is the running sum of the increments
+// sorted[j] − sorted[j−1] over j ≤ m.  acc is the same for every user, so
+// only it and the sorted rates are stored (O(N) memory), and Classify
+// computes each entry when its bisection probes it.
 type SerialClass struct {
-	cdf [][]float64
-	rng *rand.Rand
-	n   int
+	sorted []float64 // rates in ascending order
+	acc    []float64 // running sums of the sorted-rate increments
+	rank   []int     // user → index into sorted
+	rng    *rand.Rand
 }
 
 // Name implements Classifier.
@@ -99,47 +110,32 @@ func (sc *SerialClass) Name() string { return "serial-splitter" }
 // Reset implements Classifier.
 func (sc *SerialClass) Reset(rates []float64, rng *rand.Rand) {
 	n := len(rates)
-	sc.n = n
 	sc.rng = rng
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
+	sc.rank = rateRanks(rates)
+	sc.sorted = make([]float64, n)
+	for u, k := range sc.rank {
+		sc.sorted[k] = rates[u]
 	}
-	sort.SliceStable(idx, func(a, b int) bool { return rates[idx[a]] < rates[idx[b]] })
-	sorted := make([]float64, n)
-	rank := make([]int, n)
-	for k, u := range idx {
-		sorted[k] = rates[u]
-		rank[u] = k
-	}
-	sc.cdf = make([][]float64, n)
-	for u := 0; u < n; u++ {
-		k := rank[u]
-		cdf := make([]float64, k+1)
-		prev, acc := 0.0, 0.0
-		for m := 0; m <= k; m++ {
-			acc += sorted[m] - prev
-			prev = sorted[m]
-			cdf[m] = acc / sorted[k]
-		}
-		cdf[k] = 1
-		sc.cdf[u] = cdf
+	sc.acc = make([]float64, n)
+	prev, acc := 0.0, 0.0
+	for m, r := range sc.sorted {
+		acc += r - prev
+		prev = r
+		sc.acc[m] = acc
 	}
 }
 
-// Classify implements Classifier.
+// Classify implements Classifier: the first class whose CDF entry
+// reaches a uniform draw.  The last entry is 1, above every draw.
 func (sc *SerialClass) Classify(user int) int {
-	cdf := sc.cdf[user]
+	k := sc.rank[user]
+	top := sc.sorted[k]
 	x := sc.rng.Float64()
-	cls := sort.SearchFloat64s(cdf, x)
-	if cls >= len(cdf) {
-		cls = len(cdf) - 1
-	}
-	return cls
+	return sort.Search(k+1, func(m int) bool { return m == k || sc.acc[m]/top >= x })
 }
 
 // NumClasses implements Classifier.
-func (sc *SerialClass) NumClasses() int { return sc.n }
+func (sc *SerialClass) NumClasses() int { return len(sc.sorted) }
 
 // GConfig parameterizes a general-service run.
 type GConfig struct {
@@ -239,6 +235,37 @@ func (d *deque) popFront() *gpacket {
 
 func (d *deque) len() int { return d.n }
 
+// classQueues is RunG's wait queue: one FIFO deque per priority class,
+// lowest class first.  A preempted packet resumes at the head of its
+// class, ahead of every packet that arrived after it.
+type classQueues struct {
+	d []deque
+	n int
+}
+
+func (c *classQueues) Enqueue(p *gpacket, now float64) {
+	c.d[p.class].pushBack(p)
+	c.n++
+}
+
+func (c *classQueues) resume(p *gpacket) {
+	c.d[p.class].pushFront(p)
+	c.n++
+}
+
+// Dequeue pops the head of the lowest nonempty class; called only when
+// Len() > 0.
+func (c *classQueues) Dequeue(now float64) *gpacket {
+	i := 0
+	for c.d[i].len() == 0 {
+		i++
+	}
+	c.n--
+	return c.d[i].popFront()
+}
+
+func (c *classQueues) Len() int { return c.n }
+
 // seedArrivals initializes the calendar and schedules each source's first
 // arrival.  The first-arrival variates prefetch in one FillExp call
 // (byte-identical to the historical per-source draw loop).
@@ -256,14 +283,10 @@ func (d *deque) len() int { return d.n }
 // after one year every bucket's capacity is recycled: the steady state
 // allocates nothing.  The steady population is ≈ len(rates)+1 events, so
 // no rehash ever fires to re-derive the width mid-run.
-func seedArrivals(events *calq.Queue, rng *rand.Rand, rates []float64) {
+func seedArrivals(events *calq.Queue, rng *rand.Rand, rates []float64, total float64) {
 	n := len(rates)
 	arr := make([]float64, n)
 	randdist.FillExp(rng, arr)
-	total := 0.0
-	for _, r := range rates {
-		total += r
-	}
 	events.Init(n+1, 1/(2*total))
 	for i, r := range rates {
 		events.Enqueue(calq.Event{T: arr[i] / r, User: int32(i), Arr: true})
@@ -278,186 +301,15 @@ func RunG(cfg GConfig) (Result, error) {
 // RunGCtx is RunG under a context; see RunCtx for the cancellation
 // contract (typed error, no partial statistics).
 func RunGCtx(ctx context.Context, cfg GConfig) (Result, error) {
-	n := len(cfg.Rates)
-	if n == 0 {
-		return Result{}, ErrBadConfig
+	st, err := newStation(cfg.Rates, cfg.Horizon, cfg.Warmup, cfg.Batches)
+	if err != nil {
+		return Result{}, err
 	}
-	total := 0.0
-	for _, r := range cfg.Rates {
-		if r <= 0 || math.IsNaN(r) {
-			return Result{}, ErrBadConfig
-		}
-		total += r
+	cls := cfg.Classify
+	if cls == nil {
+		cls = SingleClass{}
 	}
-	if total >= 1 {
-		return Result{}, ErrBadConfig
-	}
-	if !validSpan(cfg.Horizon) || !validSpan(cfg.Warmup) {
-		return Result{}, ErrBadConfig
-	}
-	if cfg.Service == nil {
-		cfg.Service = randdist.Exponential{}
-	}
-	if cfg.Classify == nil {
-		cfg.Classify = SingleClass{}
-	}
-	if cfg.Horizon <= 0 {
-		cfg.Horizon = 2e5
-	}
-	if cfg.Warmup <= 0 {
-		cfg.Warmup = 0.05 * cfg.Horizon
-	}
-	if cfg.Batches <= 0 {
-		cfg.Batches = 20
-	}
-
 	rng := randdist.NewRand(cfg.Seed)
-	cfg.Classify.Reset(cfg.Rates, rng)
-	classes := make([]deque, cfg.Classify.NumClasses())
-
-	end := cfg.Warmup + cfg.Horizon
-	batchLen := cfg.Horizon / float64(cfg.Batches)
-
-	lq := newLazyQueues(n, cfg.Batches, cfg.Warmup, end, batchLen)
-	var totalAvg stats.TimeAverage
-	delaySum := make([]float64, n)
-	departed := make([]int64, n)
-	var res Result
-	res.AvgQueue = make([]float64, n)
-	res.QueueCI95 = make([]float64, n)
-	res.AvgDelay = make([]float64, n)
-	res.Throughput = make([]float64, n)
-
-	// After seeding, every rng draw is an inter-arrival or service
-	// ExpFloat64 unless the classifier consumes the stream too; when the
-	// order is provably pure-exponential the batch prefetches full blocks
-	// and service draws come from the same batch, otherwise block size 1
-	// reproduces the unbatched stream draw for draw.
-	pureExp := randdist.IsExponential(cfg.Service) && streamFree(cfg.Classify)
-	var eb randdist.ExpBatch
-	eb.Init(rng, randdist.BlockSize(pureExp))
-
-	var events calq.Queue
-	seedArrivals(&events, rng, cfg.Rates)
-
-	var pool gpacketPool
-	var serving *gpacket
-	servingToken := 0
-	tokenSeq := 0
-	compT := 0.0       // scheduled completion time of the serving packet
-	var compSeq uint64 // its calendar stamp, for O(1) preemption removal
-	inSystem := 0
-	prev := 0.0
-
-	startService := func(p *gpacket, now float64) {
-		serving = p
-		tokenSeq++
-		servingToken = tokenSeq
-		compT = now + p.remaining
-		compSeq = events.Enqueue(calq.Event{T: compT, Token: servingToken})
-	}
-	nextFromQueues := func(now float64) {
-		serving = nil
-		for c := range classes {
-			if classes[c].len() > 0 {
-				startService(classes[c].popFront(), now)
-				return
-			}
-		}
-	}
-
-	gate := ctxGate{ctx: ctx}
-	for events.Len() > 0 {
-		if err := gate.Err(); err != nil {
-			return Result{}, err
-		}
-		ev, _ := events.DequeueMin()
-		now := ev.T
-		if now > end {
-			now = end
-		}
-		// Accumulate the O(1) total-queue average over [prev, now); the
-		// per-user integrals advance lazily at count changes (lq.bump).
-		if now > cfg.Warmup && now > prev {
-			lo := math.Max(prev, cfg.Warmup)
-			span := now - lo
-			if span > 0 {
-				totalAvg.Accumulate(float64(inSystem), span)
-			}
-		}
-		prev = now
-		if ev.T > end {
-			break
-		}
-		if ev.Arr {
-			u := int(ev.User)
-			events.Enqueue(calq.Event{T: ev.T + eb.Next()/cfg.Rates[u], User: ev.User, Arr: true})
-			p := pool.get()
-			p.user = u
-			p.class = cfg.Classify.Classify(u)
-			p.arrive = ev.T
-			if pureExp {
-				p.remaining = eb.Next()
-			} else {
-				p.remaining = cfg.Service.Sample(rng)
-			}
-			lq.bump(u, ev.T, 1)
-			inSystem++
-			if ev.T >= cfg.Warmup {
-				res.Arrivals++
-			}
-			switch {
-			case serving == nil:
-				startService(p, ev.T)
-			case p.class < serving.class:
-				// Preempt: bank the remaining work and resume later.  The
-				// engine tracks the pending completion's (time, stamp), so
-				// canceling it is a direct calendar removal — the old heap
-				// engine scanned the whole event array here.
-				preempted := serving
-				rem := compT - ev.T
-				if rem < 0 {
-					rem = 0
-				}
-				preempted.remaining = rem
-				events.Remove(compT, compSeq)
-				servingToken = -1 // invalidate
-				classes[preempted.class].pushFront(preempted)
-				startService(p, ev.T)
-			default:
-				classes[p.class].pushBack(p)
-			}
-		} else {
-			if ev.Token != servingToken || serving == nil {
-				continue // stale completion from a preempted service
-			}
-			p := serving
-			lq.bump(p.user, ev.T, -1)
-			inSystem--
-			if ev.T >= cfg.Warmup {
-				res.Departures++
-				departed[p.user]++
-				delaySum[p.user] += ev.T - p.arrive
-			}
-			pool.put(p)
-			nextFromQueues(ev.T)
-		}
-	}
-
-	lq.finish()
-
-	res.Duration = cfg.Horizon
-	//lint:allow ctxflow O(n) post-run stats assembly over per-source accumulators; the event loop above already honored the deadline
-	for i := 0; i < n; i++ {
-		res.AvgQueue[i] = lq.avgQueue(i)
-		res.QueueCI95[i] = batchCI(lq.batchRow(i), batchLen)
-		if departed[i] > 0 {
-			res.AvgDelay[i] = delaySum[i] / float64(departed[i])
-		} else {
-			res.AvgDelay[i] = math.NaN()
-		}
-		res.Throughput[i] = float64(departed[i]) / cfg.Horizon
-	}
-	res.TotalAvgQueue = totalAvg.Value()
-	return res, nil
+	cls.Reset(cfg.Rates, rng)
+	return runCalendar(ctx, st, cfg.Service, cls, &classQueues{d: make([]deque, cls.NumClasses())}, rng)
 }

@@ -8,8 +8,8 @@ import (
 
 // TestRunRejectsNaNConfig is the regression test for the silent-NaN bug:
 // Config{Horizon: NaN} used to sail past validation and return
-// all-NaN statistics with a nil error.  Every non-finite span must be
-// ErrBadConfig across all four engines.
+// all-NaN statistics with a nil error.  Every non-finite span, and every
+// unusable rate set, must be ErrBadConfig across all four engines.
 func TestRunRejectsNaNConfig(t *testing.T) {
 	rates := []float64{0.2, 0.3}
 	bad := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
@@ -34,12 +34,39 @@ func TestRunRejectsNaNConfig(t *testing.T) {
 			t.Errorf("RunTandem(Horizon=%v): err=%v, want ErrBadConfig", v, err)
 		}
 	}
-	// NaN rates must not slip through the stability sum either.
-	if _, err := RunTandem(TandemConfig{
-		LongRates: []float64{math.NaN()},
-		NewDisc:   func() Discipline { return &FIFO{} },
-	}); !errors.Is(err, ErrBadConfig) {
-		t.Error("RunTandem(NaN rate) should be ErrBadConfig")
+	// Unusable rate sets: a nonpositive, NaN or infinite rate, an
+	// unstable total Σr ≥ 1, or no rates at all.  Every engine validates
+	// through the same normaliser, so all four must refuse each; the
+	// tandem sees the set once as its long users and once as station-A
+	// cross traffic.
+	badRates := map[string][]float64{
+		"zero":     {0.2, 0},
+		"negative": {0.2, -0.1},
+		"nan":      {math.NaN()},
+		"+inf":     {0.2, math.Inf(1)},
+		"sum=1":    {0.5, 0.5},
+		"sum>1":    {0.6, 0.7},
+		"empty":    {},
+	}
+	fifo := func() Discipline { return &FIFO{} }
+	for name, r := range badRates {
+		if _, err := Run(Config{Rates: r, Discipline: &FIFO{}}); !errors.Is(err, ErrBadConfig) {
+			t.Errorf("Run(rates %s): err=%v, want ErrBadConfig", name, err)
+		}
+		if _, err := RunG(GConfig{Rates: r}); !errors.Is(err, ErrBadConfig) {
+			t.Errorf("RunG(rates %s): err=%v, want ErrBadConfig", name, err)
+		}
+		if _, err := RunSched(SchedConfig{Rates: r}); !errors.Is(err, ErrBadConfig) {
+			t.Errorf("RunSched(rates %s): err=%v, want ErrBadConfig", name, err)
+		}
+		if _, err := RunTandem(TandemConfig{LongRates: r, NewDisc: fifo}); !errors.Is(err, ErrBadConfig) {
+			t.Errorf("RunTandem(long rates %s): err=%v, want ErrBadConfig", name, err)
+		}
+		if len(r) > 0 {
+			if _, err := RunTandem(TandemConfig{LongRates: []float64{0.1}, CrossA: r, NewDisc: fifo}); !errors.Is(err, ErrBadConfig) {
+				t.Errorf("RunTandem(cross-A rates %s): err=%v, want ErrBadConfig", name, err)
+			}
+		}
 	}
 }
 

@@ -1,13 +1,9 @@
 package des
 
 import (
-	"container/heap"
 	"context"
-	"math"
 
-	"greednet/internal/des/calq"
 	"greednet/internal/randdist"
-	"greednet/internal/stats"
 )
 
 // The scheduling engine: Poisson arrivals, general unit-mean service, and
@@ -15,8 +11,9 @@ import (
 // the setting of real packet networks and of the Fair Queueing algorithm
 // of Demers, Keshav & Shenker that §5.2 discusses.  (The preemptive
 // priority engine lives in gsim.go; the memoryless CTMC engine in des.go.)
-// Like gsim.go, the event core is the internal/des/calq calendar queue
-// with the frozen heap baseline preserved in heapref.go.
+// RunSched is RunG's calendar loop (runCalendar in station.go) with every
+// packet in one class, so the Scheduler orders the queue; the frozen heap
+// baseline is preserved in heapref.go.
 
 // Scheduler selects the next packet to transmit.
 type Scheduler interface {
@@ -80,24 +77,54 @@ type fqItem struct {
 	seq    int64 // FIFO tie-break
 }
 
+// fqHeap is a binary min-heap on (finish, seq).  That order is strict
+// and total (seq is unique), so the pop sequence is the one any correct
+// heap yields; the heap is typed, so pushes and pops box nothing.
 type fqHeap []fqItem
 
-func (h fqHeap) Len() int { return len(h) }
-func (h fqHeap) Less(i, j int) bool {
-	if h[i].finish != h[j].finish { //lint:allow floateq exact finish-tag tie-break keeps the heap deterministic
-		return h[i].finish < h[j].finish
-	}
-	return h[i].seq < h[j].seq
+// less orders by finish tag, then arrival; two strict compares, no float
+// equality.
+func (h fqHeap) less(i, j int) bool {
+	a, b := h[i], h[j]
+	return a.finish < b.finish || (!(b.finish < a.finish) && a.seq < b.seq)
 }
-func (h fqHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *fqHeap) Push(x interface{}) { *h = append(*h, x.(fqItem)) }
-func (h *fqHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	old[n-1] = fqItem{} // zero the vacated tail: the popped packet pointer must not linger in the backing array
-	*h = old[:n-1]
-	return x
+
+func (h *fqHeap) push(it fqItem) {
+	*h = append(*h, it)
+	s := *h
+	for j := len(s) - 1; j > 0; {
+		i := (j - 1) / 2
+		if !s.less(j, i) {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		j = i
+	}
+}
+
+func (h *fqHeap) pop() fqItem {
+	s := *h
+	n := len(s) - 1
+	top := s[0]
+	s[0] = s[n]
+	s[n] = fqItem{} // zero the vacated tail: the popped packet pointer must not linger in the backing array
+	s = s[:n]
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j+1 < n && s.less(j+1, j) {
+			j++
+		}
+		if !s.less(j, i) {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		i = j
+	}
+	*h = s
+	return top
 }
 
 // FQSched is the Fair Queueing scheduler of Demers, Keshav & Shenker:
@@ -165,13 +192,13 @@ func (f *FQSched) Enqueue(p *gpacket, now float64) {
 	}
 	f.queued[u]++
 	f.seq++
-	heap.Push(&f.h, fqItem{p: p, finish: finish, seq: f.seq})
+	f.h.push(fqItem{p: p, finish: finish, seq: f.seq})
 }
 
 // Dequeue implements Scheduler.
 func (f *FQSched) Dequeue(now float64) *gpacket {
 	f.advance(now)
-	it := heap.Pop(&f.h).(fqItem)
+	it := f.h.pop()
 	u := it.p.user
 	f.queued[u]--
 	if f.queued[u] == 0 {
@@ -204,154 +231,18 @@ func RunSched(cfg SchedConfig) (Result, error) {
 }
 
 // RunSchedCtx is RunSched under a context; see RunCtx for the
-// cancellation contract (typed error, no partial statistics).
+// cancellation contract (typed error, no partial statistics).  It is the
+// calendar loop of RunG with every packet in class 0, so nothing
+// preempts and the Scheduler alone orders the queue.
 func RunSchedCtx(ctx context.Context, cfg SchedConfig) (Result, error) {
-	n := len(cfg.Rates)
-	if n == 0 {
-		return Result{}, ErrBadConfig
+	st, err := newStation(cfg.Rates, cfg.Horizon, cfg.Warmup, cfg.Batches)
+	if err != nil {
+		return Result{}, err
 	}
-	total := 0.0
-	for _, r := range cfg.Rates {
-		if r <= 0 || math.IsNaN(r) {
-			return Result{}, ErrBadConfig
-		}
-		total += r
+	sch := cfg.Sched
+	if sch == nil {
+		sch = &FCFSSched{}
 	}
-	if total >= 1 {
-		return Result{}, ErrBadConfig
-	}
-	if !validSpan(cfg.Horizon) || !validSpan(cfg.Warmup) {
-		return Result{}, ErrBadConfig
-	}
-	if cfg.Service == nil {
-		cfg.Service = randdist.Exponential{}
-	}
-	if cfg.Sched == nil {
-		cfg.Sched = &FCFSSched{}
-	}
-	if cfg.Horizon <= 0 {
-		cfg.Horizon = 2e5
-	}
-	if cfg.Warmup <= 0 {
-		cfg.Warmup = 0.05 * cfg.Horizon
-	}
-	if cfg.Batches <= 0 {
-		cfg.Batches = 20
-	}
-
-	rng := randdist.NewRand(cfg.Seed)
-	cfg.Sched.Reset(cfg.Rates)
-
-	end := cfg.Warmup + cfg.Horizon
-	batchLen := cfg.Horizon / float64(cfg.Batches)
-	lq := newLazyQueues(n, cfg.Batches, cfg.Warmup, end, batchLen)
-	var totalAvg stats.TimeAverage
-	delaySum := make([]float64, n)
-	departed := make([]int64, n)
-	var res Result
-	res.AvgQueue = make([]float64, n)
-	res.QueueCI95 = make([]float64, n)
-	res.AvgDelay = make([]float64, n)
-	res.Throughput = make([]float64, n)
-
-	// The Scheduler interface has no rng access (Reset takes only rates),
-	// so after seeding the draw order is pure ExpFloat64 exactly when the
-	// service distribution is exponential; then arrivals AND transmission
-	// times prefetch from one batch.  Otherwise block size 1 reproduces
-	// the unbatched stream.
-	pureExp := randdist.IsExponential(cfg.Service)
-	var eb randdist.ExpBatch
-	eb.Init(rng, randdist.BlockSize(pureExp))
-
-	var events calq.Queue
-	seedArrivals(&events, rng, cfg.Rates)
-
-	var pool gpacketPool
-	var serving *gpacket
-	inSystem := 0
-	prev := 0.0
-
-	gate := ctxGate{ctx: ctx}
-	for events.Len() > 0 {
-		if err := gate.Err(); err != nil {
-			return Result{}, err
-		}
-		ev, _ := events.DequeueMin()
-		now := ev.T
-		if now > end {
-			now = end
-		}
-		// O(1) total-queue average per event; per-user integrals advance
-		// lazily at count changes (lq.bump).
-		if now > cfg.Warmup && now > prev {
-			lo := math.Max(prev, cfg.Warmup)
-			span := now - lo
-			if span > 0 {
-				totalAvg.Accumulate(float64(inSystem), span)
-			}
-		}
-		prev = now
-		if ev.T > end {
-			break
-		}
-		if ev.Arr {
-			u := int(ev.User)
-			events.Enqueue(calq.Event{T: ev.T + eb.Next()/cfg.Rates[u], User: ev.User, Arr: true})
-			p := pool.get()
-			p.user = u
-			p.class = 0
-			p.arrive = ev.T
-			if pureExp {
-				p.remaining = eb.Next()
-			} else {
-				p.remaining = cfg.Service.Sample(rng)
-			}
-			lq.bump(u, ev.T, 1)
-			inSystem++
-			if ev.T >= cfg.Warmup {
-				res.Arrivals++
-			}
-			if serving == nil {
-				serving = p
-				events.Enqueue(calq.Event{T: ev.T + p.remaining})
-			} else {
-				cfg.Sched.Enqueue(p, ev.T)
-			}
-		} else {
-			if serving == nil {
-				continue
-			}
-			p := serving
-			lq.bump(p.user, ev.T, -1)
-			inSystem--
-			if ev.T >= cfg.Warmup {
-				res.Departures++
-				departed[p.user]++
-				delaySum[p.user] += ev.T - p.arrive
-			}
-			pool.put(p)
-			serving = nil
-			if cfg.Sched.Len() > 0 {
-				serving = cfg.Sched.Dequeue(ev.T)
-				events.Enqueue(calq.Event{T: ev.T + serving.remaining})
-			}
-		}
-	}
-
-	lq.finish()
-
-	res.Duration = cfg.Horizon
-	//lint:allow ctxflow O(n) post-run stats assembly over per-source accumulators; the event loop above already honored the deadline
-	for i := 0; i < n; i++ {
-		res.AvgQueue[i] = lq.avgQueue(i)
-		res.QueueCI95[i] = batchCI(lq.batchRow(i), batchLen)
-		if departed[i] > 0 {
-			res.AvgDelay[i] = delaySum[i] / float64(departed[i])
-		} else {
-			res.AvgDelay[i] = math.NaN()
-		}
-		res.Throughput[i] = float64(departed[i]) / cfg.Horizon
-	}
-	res.TotalAvgQueue = totalAvg.Value()
-	return res, nil
+	sch.Reset(cfg.Rates)
+	return runCalendar(ctx, st, cfg.Service, SingleClass{}, sch, randdist.NewRand(cfg.Seed))
 }

@@ -58,40 +58,18 @@ func RunTandem(cfg TandemConfig) (TandemResult, error) {
 func RunTandemCtx(ctx context.Context, cfg TandemConfig) (TandemResult, error) {
 	nLong, nA, nB := len(cfg.LongRates), len(cfg.CrossA), len(cfg.CrossB)
 	nUsers := nLong + nA + nB
-	if nUsers == 0 || cfg.NewDisc == nil || nLong == 0 {
+	if cfg.NewDisc == nil || nLong == 0 {
 		return TandemResult{}, ErrBadConfig
 	}
-	sumLong := 0.0
-	for _, r := range cfg.LongRates {
-		if r <= 0 || math.IsNaN(r) {
-			return TandemResult{}, ErrBadConfig
-		}
-		sumLong += r
-	}
-	loadA, loadB := sumLong, sumLong
-	for _, r := range cfg.CrossA {
-		if r <= 0 || math.IsNaN(r) {
-			return TandemResult{}, ErrBadConfig
-		}
-		loadA += r
-	}
-	for _, r := range cfg.CrossB {
-		if r <= 0 || math.IsNaN(r) {
-			return TandemResult{}, ErrBadConfig
-		}
-		loadB += r
-	}
-	if loadA >= 1 || loadB >= 1 {
+	sumLong, okL := addRates(0, cfg.LongRates)
+	loadA, okA := addRates(sumLong, cfg.CrossA)
+	loadB, okB := addRates(sumLong, cfg.CrossB)
+	if !okL || !okA || !okB || loadA >= 1 || loadB >= 1 {
 		return TandemResult{}, ErrBadConfig
 	}
-	if !validSpan(cfg.Horizon) || !validSpan(cfg.Warmup) {
-		return TandemResult{}, ErrBadConfig
-	}
-	if cfg.Horizon <= 0 {
-		cfg.Horizon = 2e5
-	}
-	if cfg.Warmup <= 0 {
-		cfg.Warmup = 0.05 * cfg.Horizon
+	w, err := newWindow(cfg.Horizon, cfg.Warmup, 0)
+	if err != nil {
+		return TandemResult{}, err
 	}
 
 	// Station-local user tables.  Station A serves long users (local 0..
@@ -124,16 +102,12 @@ func RunTandemCtx(ctx context.Context, cfg TandemConfig) (TandemResult, error) {
 	extRates := make([]float64, 0, nUsers)
 	extRates = append(extRates, ratesA...)     // long + cross-A (arrive at A)
 	extRates = append(extRates, cfg.CrossB...) // arrive at B
-	extTotal := 0.0
-	for _, r := range extRates {
-		extTotal += r
-	}
-	// Prefix sums for O(log N) stream picks; cumExt[len-1] accumulates in
-	// the same order as extTotal above, so the binary search picks exactly
-	// the stream the historical linear scan chose for every draw.
+	// Prefix sums for O(log N) stream picks.  The total is the last one,
+	// accumulated in the historical running-sum order, so the binary
+	// search picks exactly the stream the linear scan chose for every draw.
 	cumExt := cumRates(extRates)
+	extTotal := cumExt[len(cumExt)-1]
 
-	end := cfg.Warmup + cfg.Horizon
 	countsA := make([]int, nUsers)
 	countsB := make([]int, nUsers)
 	avgA := make([]stats.TimeAverage, nUsers)
@@ -149,7 +123,7 @@ func RunTandemCtx(ctx context.Context, cfg TandemConfig) (TandemResult, error) {
 
 	t := 0.0
 	gate := ctxGate{ctx: ctx}
-	for t < end {
+	for t < w.end {
 		if err := gate.Err(); err != nil {
 			return TandemResult{}, err
 		}
@@ -163,9 +137,9 @@ func RunTandemCtx(ctx context.Context, cfg TandemConfig) (TandemResult, error) {
 		e, uu := pb.Pair()
 		dt := e / rate
 		tNext := t + dt
-		if tNext > cfg.Warmup {
-			lo := math.Max(t, cfg.Warmup)
-			hi := math.Min(tNext, end)
+		if tNext > w.warmup {
+			lo := math.Max(t, w.warmup)
+			hi := math.Min(tNext, w.end)
 			if span := hi - lo; span > 0 {
 				for u := 0; u < nUsers; u++ {
 					avgA[u].Accumulate(float64(countsA[u]), span)
@@ -174,7 +148,7 @@ func RunTandemCtx(ctx context.Context, cfg TandemConfig) (TandemResult, error) {
 			}
 		}
 		t = tNext
-		if t >= end {
+		if t >= w.end {
 			break
 		}
 		u := uu * rate
@@ -208,7 +182,7 @@ func RunTandemCtx(ctx context.Context, cfg TandemConfig) (TandemResult, error) {
 				discB.Enqueue(Packet{User: p.User, Arrive: p.Arrive})
 				countsB[g]++
 				busyB++
-			} else if t >= cfg.Warmup {
+			} else if t >= w.warmup {
 				departed[g]++
 				delaySum[g] += t - p.Arrive
 			}
@@ -218,7 +192,7 @@ func RunTandemCtx(ctx context.Context, cfg TandemConfig) (TandemResult, error) {
 			g := globalB[p.User]
 			countsB[g]--
 			busyB--
-			if t >= cfg.Warmup {
+			if t >= w.warmup {
 				departed[g]++
 				delaySum[g] += t - p.Arrive
 			}

@@ -1,6 +1,11 @@
 package hotpath
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+
+	"greednet/internal/des"
+)
 
 // BenchmarkEventsPerSec runs the events/sec family as sub-benchmarks:
 // the calendar-queue engine and its frozen heap baseline at each
@@ -66,6 +71,40 @@ func TestEventAllocsPerEventWithinBudget(t *testing.T) {
 		if ape > AllocsPerEventBudget {
 			t.Errorf("%s: %.4f allocs/event, budget %g", s.Name, ape, AllocsPerEventBudget)
 		}
+	}
+}
+
+// Fair Queueing's finish-tag heap is typed, so the warm non-preemptive
+// scheduling loop must be as allocation-free as the calendar engine:
+// the same two-horizon delta over RunSched with FQ at N=100 stays within
+// the events budget.
+func TestFQAllocsPerEventWithinBudget(t *testing.T) {
+	rates := make([]float64, 100)
+	for i := range rates {
+		rates[i] = 0.9 / float64(len(rates))
+	}
+	run := func(horizon float64) (uint64, int64) {
+		cfg := func() des.SchedConfig {
+			return des.SchedConfig{Rates: rates, Sched: &des.FQSched{}, Horizon: horizon, Warmup: 1e-9, Seed: 17}
+		}
+		if _, err := des.RunSched(cfg()); err != nil { // warm
+			t.Fatal(err)
+		}
+		var m1, m2 runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&m1)
+		res, err := des.RunSched(cfg())
+		runtime.ReadMemStats(&m2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m2.Mallocs - m1.Mallocs, res.Arrivals + res.Departures
+	}
+	a1, e1 := run(2e4)
+	a2, e2 := run(4e4)
+	ape := (float64(a2) - float64(a1)) / float64(e2-e1)
+	if ape > AllocsPerEventBudget {
+		t.Errorf("FQ: %.4f allocs/event, budget %g", ape, AllocsPerEventBudget)
 	}
 }
 
